@@ -89,7 +89,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("mining_gc_excluded_paper", |b| {
-        b.iter(|| session.mine_patterns().len());
+        b.iter(|| PatternSet::mine(&session).len());
     });
     group.bench_function("mining_gc_included_variant", |b| {
         b.iter(|| {
@@ -134,7 +134,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 
     // Report the pattern-count effect of the ablations once.
-    let paper = session.mine_patterns().len();
+    let paper = session.patterns().len();
     let mut with_gc: HashMap<String, u64> = HashMap::new();
     let mut with_time: HashMap<(String, u32), u64> = HashMap::new();
     for e in &episodes {

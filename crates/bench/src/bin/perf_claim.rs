@@ -33,7 +33,7 @@ fn main() {
     for trace in sessions {
         let session = AnalysisSession::new(trace, AnalysisConfig::default());
         let _stats = SessionStats::compute(&session);
-        pattern_total += session.mine_patterns().len();
+        pattern_total += session.patterns().len();
     }
     // Include full table + figure generation, as the paper's claim does.
     let study = full_study();

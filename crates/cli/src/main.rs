@@ -753,9 +753,9 @@ fn cmd_analyze(args: &[String]) -> Result<ExitCode, Failure> {
     {
         // Per-pattern outlier scan with the default config; the dedicated
         // `outliers` subcommand exposes the knobs and the full report.
-        let patterns = session.mine_patterns_with_jobs(jobs);
+        let patterns = session.patterns_with_jobs(jobs);
         let outliers =
-            OutlierReport::analyze_with_jobs(&session, &patterns, &OutlierConfig::default(), jobs);
+            OutlierReport::analyze_with_jobs(&session, patterns, &OutlierConfig::default(), jobs);
         println!("outliers          {}", outliers.summary());
     }
     if let Some(check) = session.check_outcome() {
@@ -1132,8 +1132,7 @@ fn cmd_patterns(args: &[String]) -> Result<ExitCode, Failure> {
         return Ok(code);
     }
     let session = session_from(args, path)?;
-    let patterns = session.mine_patterns_with_jobs(jobs);
-    let mut browser = PatternBrowser::new(&session, &patterns);
+    let mut browser = PatternBrowser::new(&session, session.patterns_with_jobs(jobs));
     if opt_flag(args, "--perceptible-only") {
         browser.perceptible_only(true);
     }
@@ -1564,8 +1563,8 @@ fn cmd_outliers(args: &[String]) -> Result<ExitCode, Failure> {
         return Ok(code);
     }
     let session = session_from(args, path)?;
-    let patterns = session.mine_patterns_with_jobs(jobs);
-    let mut report = OutlierReport::analyze_with_jobs(&session, &patterns, &config, jobs);
+    let mut report =
+        OutlierReport::analyze_with_jobs(&session, session.patterns_with_jobs(jobs), &config, jobs);
 
     // On indexed binary traces, stamp each finding with the byte span of
     // its episode's records (same provenance `check` diagnostics carry),
@@ -1767,7 +1766,7 @@ fn cmd_sketch(args: &[String]) -> Result<ExitCode, Failure> {
         let rank: usize = p
             .parse()
             .map_err(|_| format!("--pattern expects a number, got {p:?}"))?;
-        let patterns = session.mine_patterns();
+        let patterns = session.patterns();
         let pattern = patterns
             .patterns()
             .get(rank)

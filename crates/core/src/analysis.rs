@@ -105,7 +105,7 @@ pub mod builtin {
             "occurrences"
         }
         fn run(&self, session: &AnalysisSession) -> Self::Output {
-            OccurrenceBreakdown::of(&session.mine_patterns())
+            OccurrenceBreakdown::of(session.patterns())
         }
     }
 

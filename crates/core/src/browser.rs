@@ -231,8 +231,7 @@ mod tests {
     #[test]
     fn default_view_sorted_by_count() {
         let session = build_session();
-        let patterns = session.mine_patterns();
-        let browser = PatternBrowser::new(&session, &patterns);
+        let browser = PatternBrowser::new(&session, session.patterns());
         let rows = browser.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].pattern.count(), 3);
@@ -243,8 +242,7 @@ mod tests {
     #[test]
     fn perceptible_filter_elides_fast_patterns() {
         let session = build_session();
-        let patterns = session.mine_patterns();
-        let mut browser = PatternBrowser::new(&session, &patterns);
+        let mut browser = PatternBrowser::new(&session, session.patterns());
         browser.perceptible_only(true);
         let rows = browser.rows();
         assert_eq!(rows.len(), 1);
@@ -255,8 +253,7 @@ mod tests {
     #[test]
     fn sort_orders() {
         let session = build_session();
-        let patterns = session.mine_patterns();
-        let mut browser = PatternBrowser::new(&session, &patterns);
+        let mut browser = PatternBrowser::new(&session, session.patterns());
         browser.sort_by(SortBy::TotalLag);
         let rows = browser.rows();
         // Pattern B's 520 ms total beats pattern A's 33 ms.
@@ -273,8 +270,7 @@ mod tests {
     #[test]
     fn episode_listing_and_first() {
         let session = build_session();
-        let patterns = session.mine_patterns();
-        let browser = PatternBrowser::new(&session, &patterns);
+        let browser = PatternBrowser::new(&session, session.patterns());
         let slow_pattern = browser
             .rows()
             .into_iter()
@@ -292,8 +288,7 @@ mod tests {
     #[test]
     fn table_renders() {
         let session = build_session();
-        let patterns = session.mine_patterns();
-        let browser = PatternBrowser::new(&session, &patterns);
+        let browser = PatternBrowser::new(&session, session.patterns());
         let table = browser.to_table();
         assert!(table.contains("episodes"));
         assert!(table.contains("a.A"));

@@ -88,7 +88,7 @@ pub struct SessionDiff {
 impl SessionDiff {
     /// Diffs `candidate` against `baseline`.
     pub fn between(baseline: &AnalysisSession, candidate: &AnalysisSession) -> SessionDiff {
-        SessionDiff::from_patterns(&baseline.mine_patterns(), &candidate.mine_patterns())
+        SessionDiff::from_patterns(baseline.patterns(), candidate.patterns())
     }
 
     /// Diffs two already-mined pattern sets.

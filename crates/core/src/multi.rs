@@ -129,21 +129,21 @@ impl MultiPatternSet {
 
     /// Like [`MultiPatternSet::mine`], but shards the *sessions* over up
     /// to `jobs` worker threads (each session is mined serially within its
-    /// shard). Per-session pattern sets are reassembled in session order
-    /// before the merge, so the result is byte-identical to the serial
-    /// path for any `jobs`.
+    /// shard). Per-session pattern sets are borrowed from each session's
+    /// memo ([`AnalysisSession::patterns`]) and merged in session order, so
+    /// the result is byte-identical to the serial path for any `jobs`.
     pub fn mine_with_jobs(sessions: &[AnalysisSession], jobs: usize) -> MultiPatternSet {
-        let per_session: Vec<PatternSet> =
+        let per_session: Vec<&PatternSet> =
             crate::parallel::map_shards(sessions.len(), jobs, |range| {
                 sessions[range]
                     .iter()
-                    .map(AnalysisSession::mine_patterns)
+                    .map(AnalysisSession::patterns)
                     .collect::<Vec<_>>()
             })
             .into_iter()
             .flatten()
             .collect();
-        MultiPatternSet::merge(&per_session)
+        MultiPatternSet::merge(per_session)
     }
 
     /// Mines raw decoded traces — the corpus-wide mining entry point:
@@ -165,10 +165,11 @@ impl MultiPatternSet {
     }
 
     /// Merges already-mined pattern sets (one per session, in order).
-    pub fn merge(sets: &[PatternSet]) -> MultiPatternSet {
+    pub fn merge<'a>(sets: impl IntoIterator<Item = &'a PatternSet>) -> MultiPatternSet {
+        let sets: Vec<&PatternSet> = sets.into_iter().collect();
         let n = sets.len();
         let mut merged: HashMap<ShapeSignature, MultiPattern> = HashMap::new();
-        for (i, set) in sets.iter().enumerate() {
+        for (i, set) in sets.into_iter().enumerate() {
             for p in set.patterns() {
                 let entry = merged
                     .entry(p.signature().clone())

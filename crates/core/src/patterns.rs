@@ -138,8 +138,10 @@ pub struct PatternSet {
 }
 
 impl PatternSet {
-    /// Mines the patterns of `session` (also available as
-    /// [`AnalysisSession::mine_patterns`]).
+    /// Mines the patterns of `session`. This is the uncached miner: every
+    /// call mines afresh, which is what benches and reference checks
+    /// need. Analyses read the session's memo instead
+    /// ([`AnalysisSession::patterns`]), which calls this once.
     pub fn mine(session: &AnalysisSession) -> PatternSet {
         PatternSet::mine_with_jobs(session, 1)
     }

@@ -1,5 +1,7 @@
 //! The analysis session: one ingested trace plus analysis configuration.
 
+use std::sync::OnceLock;
+
 use lagalyzer_model::{DurationNs, Episode, SessionTrace};
 
 use crate::patterns::PatternSet;
@@ -73,6 +75,13 @@ impl CheckOutcome {
 /// LagAlyzer is an offline tool: the complete trace must exist before
 /// analysis starts (paper §II-A), which is exactly what this type
 /// represents. All analyses take an `&AnalysisSession`.
+///
+/// The session mines its patterns at most once: the first call to
+/// [`AnalysisSession::patterns_with_jobs`] (directly, or through
+/// [`AnalysisSession::mine_patterns`] or [`crate::stats::SessionStats`])
+/// fills a per-session memo that every later call borrows. The trace
+/// and the perceptibility threshold, the only inputs of mining, are
+/// fixed at construction, so the memo can never go stale.
 #[derive(Clone, Debug)]
 pub struct AnalysisSession {
     trace: SessionTrace,
@@ -80,18 +89,21 @@ pub struct AnalysisSession {
     provenance: Provenance,
     excluded_episodes: u64,
     check_outcome: Option<CheckOutcome>,
+    patterns: OnceLock<PatternSet>,
 }
+
+// Analyses share `&AnalysisSession` across worker threads
+// (`parallel::map_shards`, `aggregate_sessions_with_jobs`); the memo must
+// not cost the session either bound.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<AnalysisSession>();
+};
 
 impl AnalysisSession {
     /// Ingests a trace with the given configuration.
     pub fn new(trace: SessionTrace, config: AnalysisConfig) -> Self {
-        AnalysisSession {
-            trace,
-            config,
-            provenance: Provenance::Clean,
-            excluded_episodes: 0,
-            check_outcome: None,
-        }
+        AnalysisSession::with_provenance(trace, config, Provenance::Clean)
     }
 
     /// Ingests a trace while recording how it was obtained.
@@ -100,13 +112,7 @@ impl AnalysisSession {
         config: AnalysisConfig,
         provenance: Provenance,
     ) -> Self {
-        AnalysisSession {
-            trace,
-            config,
-            provenance,
-            excluded_episodes: 0,
-            check_outcome: None,
-        }
+        AnalysisSession::with_exclusions(trace, config, provenance, 0)
     }
 
     /// Ingests a trace from which an ingest-time filter excluded
@@ -125,6 +131,7 @@ impl AnalysisSession {
             provenance,
             excluded_episodes,
             check_outcome: None,
+            patterns: OnceLock::new(),
         }
     }
 
@@ -186,16 +193,37 @@ impl AnalysisSession {
             .perceptible_episodes(self.config.perceptible_threshold)
     }
 
-    /// Mines the episode patterns of this session (paper §II-C/§II-D).
-    pub fn mine_patterns(&self) -> PatternSet {
-        PatternSet::mine(self)
+    /// The episode patterns of this session (paper §II-C/§II-D), mined
+    /// serially on first use and borrowed from the session's memo after.
+    pub fn patterns(&self) -> &PatternSet {
+        self.patterns_with_jobs(1)
     }
 
-    /// Mines the episode patterns on up to `jobs` worker threads; the
-    /// result is byte-identical to [`AnalysisSession::mine_patterns`]
-    /// (see [`crate::parallel`]).
+    /// The episode patterns of this session, mined on up to `jobs` worker
+    /// threads on first use and borrowed from the session's memo after.
+    ///
+    /// `jobs` is not part of the memo key: mining is byte-identical at
+    /// any `jobs` (see [`crate::parallel`]), so the first caller's `jobs`
+    /// only picks how that one mining pass is sharded.
+    pub fn patterns_with_jobs(&self, jobs: usize) -> &PatternSet {
+        self.patterns
+            .get_or_init(|| PatternSet::mine_with_jobs(self, jobs))
+    }
+
+    /// An owned copy of [`AnalysisSession::patterns`]: the session mines
+    /// once, and every call clones the memo. Benches and reference checks
+    /// that must time or repeat the mining itself call the uncached
+    /// [`PatternSet::mine`] instead.
+    pub fn mine_patterns(&self) -> PatternSet {
+        self.patterns().clone()
+    }
+
+    /// An owned copy of [`AnalysisSession::patterns_with_jobs`]; the result
+    /// is byte-identical to [`AnalysisSession::mine_patterns`] for any
+    /// `jobs`, which is why `jobs` is not part of the memo key.
+    /// [`PatternSet::mine_with_jobs`] is the uncached entry point.
     pub fn mine_patterns_with_jobs(&self, jobs: usize) -> PatternSet {
-        PatternSet::mine_with_jobs(self, jobs)
+        self.patterns_with_jobs(jobs).clone()
     }
 }
 

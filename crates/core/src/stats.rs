@@ -32,18 +32,22 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    /// Computes the full row for one session.
+    /// Computes the full row for one session. The pattern columns come
+    /// from the session's memoized patterns
+    /// ([`AnalysisSession::patterns`]), so computing the row and then
+    /// mining the same session mines it once.
     pub fn compute(session: &AnalysisSession) -> SessionStats {
         SessionStats::compute_with_jobs(session, 1)
     }
 
     /// Computes the full row on up to `jobs` worker threads. Pattern
-    /// mining and the perceptible-episode count are sharded over episodes;
-    /// both merges are exact, so the row is byte-identical to
-    /// [`SessionStats::compute`] for any `jobs`.
+    /// mining (when the session's memo is still empty) and the
+    /// perceptible-episode count are sharded over episodes; both merges
+    /// are exact, so the row is byte-identical to [`SessionStats::compute`]
+    /// for any `jobs`, and whichever `jobs` fills the memo does not matter.
     pub fn compute_with_jobs(session: &AnalysisSession, jobs: usize) -> SessionStats {
         let trace = session.trace();
-        let patterns = session.mine_patterns_with_jobs(jobs);
+        let patterns = session.patterns_with_jobs(jobs);
         let perceptible_count: u64 =
             crate::parallel::map_shards(session.episodes().len(), jobs, |range| {
                 session.episodes()[range]

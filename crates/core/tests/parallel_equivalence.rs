@@ -50,7 +50,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Mining with any worker count yields the exact same pattern table as
-    /// the serial scan.
+    /// the serial scan (both through the uncached miner; the session's
+    /// memo would hand the second call the first call's result).
     #[test]
     fn parallel_mining_is_byte_identical(
         profile_index in 0u8..4,
@@ -58,22 +59,22 @@ proptest! {
         jobs in 2usize..9,
     ) {
         let session = session_for(profile_index, seed);
-        let serial = session.mine_patterns();
-        let parallel = session.mine_patterns_with_jobs(jobs);
+        let serial = PatternSet::mine(&session);
+        let parallel = PatternSet::mine_with_jobs(&session, jobs);
         assert_sets_identical(&serial, &parallel)?;
     }
 
     /// The Table III row is identical under parallelism, including every
-    /// f64-valued field.
+    /// f64-valued field. Each row is computed on its own unmined session,
+    /// so the parallel row really mines at `jobs`.
     #[test]
     fn parallel_stats_are_byte_identical(
         profile_index in 0u8..4,
         seed in 1u64..1000,
         jobs in 2usize..9,
     ) {
-        let session = session_for(profile_index, seed);
-        let serial = SessionStats::compute(&session);
-        let parallel = SessionStats::compute_with_jobs(&session, jobs);
+        let serial = SessionStats::compute(&session_for(profile_index, seed));
+        let parallel = SessionStats::compute_with_jobs(&session_for(profile_index, seed), jobs);
         prop_assert_eq!(serial, parallel);
     }
 

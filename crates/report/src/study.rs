@@ -94,10 +94,11 @@ impl Study {
 }
 
 /// Everything the aggregation needs from one session, computed in a
-/// single sharded pass over the sessions.
-struct SessionBundle {
+/// single sharded pass over the sessions. The patterns are borrowed from
+/// the session's memo, which the row's statistics filled.
+struct SessionBundle<'a> {
     row: SessionStats,
-    patterns: PatternSet,
+    patterns: &'a PatternSet,
     characterization: CharacterizationTable,
 }
 
@@ -114,7 +115,9 @@ pub fn aggregate_sessions(
 /// worker threads (sharding over sessions; each session's analyses run
 /// serially within its shard). All per-session results are exact or
 /// normalized identically to the serial analyses, so the aggregate is
-/// byte-identical for any `jobs`.
+/// byte-identical for any `jobs`. Each session is mined at most once,
+/// through its memo ([`AnalysisSession::patterns`]): a session already
+/// mined by the caller is not mined again.
 pub fn aggregate_sessions_with_jobs(
     name: &str,
     sessions: &[AnalysisSession],
@@ -126,7 +129,7 @@ pub fn aggregate_sessions_with_jobs(
             .iter()
             .map(|s| SessionBundle {
                 row: SessionStats::compute(s),
-                patterns: s.mine_patterns(),
+                patterns: s.patterns(),
                 characterization: CharacterizationTable::scan(s, 0..s.episodes().len(), classifier),
             })
             .collect::<Vec<_>>()
@@ -150,7 +153,7 @@ pub fn aggregate_sessions_with_jobs(
         occurrence: sum_occurrences(
             &bundles
                 .iter()
-                .map(|b| OccurrenceBreakdown::of(&b.patterns))
+                .map(|b| OccurrenceBreakdown::of(b.patterns))
                 .collect::<Vec<_>>(),
         ),
         location_all: mean_locations(&tables.iter().map(|t| t.location_all()).collect::<Vec<_>>()),

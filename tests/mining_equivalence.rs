@@ -7,7 +7,9 @@
 //! — produces *byte-identical* results: every `PatternSet` field, the
 //! pattern browser's rendered table, and the cross-session analyses
 //! (multi-session grouping, stable problems, session diff) that key on
-//! the canonical signature string.
+//! the canonical signature string. The session's pattern memo is held to
+//! the same standard: whatever `jobs` fills it, every later read equals
+//! a fresh mining pass.
 
 use lagalyzer::core::prelude::*;
 use lagalyzer::model::prelude::*;
@@ -43,12 +45,12 @@ fn interned_mining_matches_reference_on_table2_suite() {
             AnalysisConfig::default(),
         );
         let reference = PatternSet::mine_reference(&session);
-        let interned = session.mine_patterns();
+        let interned = PatternSet::mine(&session);
         assert_sets_identical(&reference, &interned);
         // Sharded mining: vary jobs a little across apps to keep runtime
         // in check while still covering several shard counts.
         for jobs in [2, 3 + i % 4] {
-            assert_sets_identical(&reference, &session.mine_patterns_with_jobs(jobs));
+            assert_sets_identical(&reference, &PatternSet::mine_with_jobs(&session, jobs));
         }
         let ref_table = PatternBrowser::new(&session, &reference).to_table();
         let new_table = PatternBrowser::new(&session, &interned).to_table();
@@ -60,10 +62,8 @@ fn interned_mining_matches_reference_on_table2_suite() {
     }
 }
 
-/// Same gate over a salvaged (truncated) trace: lenient decode, then
-/// serial and sharded mining vs the reference.
-#[test]
-fn interned_mining_matches_reference_on_salvaged_session() {
+/// A JMol session truncated to three quarters and recovered by salvage.
+fn salvaged_session() -> AnalysisSession {
     let trace = runner::simulate_session(&apps::jmol(), 0, 7);
     let mut bytes = Vec::new();
     binary::write(&trace, &mut bytes).unwrap();
@@ -71,19 +71,26 @@ fn interned_mining_matches_reference_on_salvaged_session() {
 
     let salvaged = read_bytes_salvage(&bytes).expect("truncated trace salvages");
     assert!(!salvaged.report.is_clean());
-    let session = AnalysisSession::with_provenance(
+    AnalysisSession::with_provenance(
         salvaged.trace,
         AnalysisConfig::default(),
         Provenance::Salvaged {
             skips: salvaged.report.skips.len() as u64,
             episodes_lost: salvaged.report.episodes_lost,
         },
-    );
+    )
+}
+
+/// Same gate over a salvaged (truncated) trace: lenient decode, then
+/// serial and sharded mining vs the reference.
+#[test]
+fn interned_mining_matches_reference_on_salvaged_session() {
+    let session = salvaged_session();
     let reference = PatternSet::mine_reference(&session);
     assert!(reference.salvaged());
-    assert_sets_identical(&reference, &session.mine_patterns());
+    assert_sets_identical(&reference, &PatternSet::mine(&session));
     for jobs in [2usize, 5] {
-        assert_sets_identical(&reference, &session.mine_patterns_with_jobs(jobs));
+        assert_sets_identical(&reference, &PatternSet::mine_with_jobs(&session, jobs));
     }
 }
 
@@ -173,4 +180,66 @@ fn cross_session_analyses_agree_despite_disjoint_symbol_ids() {
     assert!(diff.appeared.is_empty());
     assert!(diff.disappeared.is_empty());
     assert_eq!(diff.common.len(), set_a.len());
+}
+
+/// Fills `session`'s memo at jobs 3, then checks every memoized read
+/// against fresh, uncached mining of the same trace.
+fn assert_memo_matches_fresh_mining(session: &AnalysisSession) {
+    let name = &session.trace().meta().application;
+    let memo = session.patterns_with_jobs(3);
+    let fresh = PatternSet::mine_with_jobs(session, 3);
+    assert_eq!(format!("{memo:?}"), format!("{fresh:?}"), "{name}: memo");
+    for jobs in [1usize, 2, 5] {
+        assert_eq!(
+            format!("{:?}", session.mine_patterns_with_jobs(jobs)),
+            format!("{:?}", PatternSet::mine_with_jobs(session, jobs)),
+            "{name}: mine_patterns_with_jobs({jobs})"
+        );
+    }
+
+    // Statistics read the memo; a session that has never been mined
+    // computes the same row from its own fresh pass.
+    let unmined = AnalysisSession::with_provenance(
+        session.trace().clone(),
+        *session.config(),
+        session.provenance(),
+    );
+    let stats = SessionStats::compute_with_jobs(session, 2);
+    assert_eq!(
+        stats,
+        SessionStats::compute_with_jobs(&unmined, 2),
+        "{name}"
+    );
+    assert_eq!(stats.distinct_patterns, fresh.len() as u64);
+    assert_eq!(stats.episodes_in_patterns, fresh.covered_episodes());
+    assert_eq!(stats.singleton_fraction, fresh.singleton_fraction());
+    assert_eq!(stats.mean_tree_size, fresh.mean_tree_size());
+    assert_eq!(stats.mean_tree_depth, fresh.mean_tree_depth());
+
+    // One allocation behind every read: the session mined once.
+    assert!(std::ptr::eq(memo, session.patterns()));
+    assert!(std::ptr::eq(memo, session.patterns_with_jobs(5)));
+
+    // A cloned session carries an equal memo and answers identically.
+    let cloned = session.clone();
+    assert_eq!(format!("{:?}", cloned.patterns()), format!("{memo:?}"));
+    assert_eq!(SessionStats::compute(&cloned), stats, "{name}: clone");
+}
+
+#[test]
+fn memoized_mining_matches_fresh_mining_on_table2_suite() {
+    for profile in apps::standard_suite() {
+        let session = AnalysisSession::new(
+            runner::simulate_session(&profile, 0, 42),
+            AnalysisConfig::default(),
+        );
+        assert_memo_matches_fresh_mining(&session);
+    }
+}
+
+#[test]
+fn memoized_mining_matches_fresh_mining_on_salvaged_session() {
+    let session = salvaged_session();
+    assert_memo_matches_fresh_mining(&session);
+    assert!(session.patterns().salvaged());
 }

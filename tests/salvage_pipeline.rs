@@ -50,7 +50,7 @@ fn parallel_mining_over_salvaged_session_matches_serial() {
     let serial = session.mine_patterns();
     assert!(serial.salvaged(), "provenance must reach the pattern set");
     for jobs in [2usize, 4, 8] {
-        assert_sets_identical(&serial, &session.mine_patterns_with_jobs(jobs));
+        assert_sets_identical(&serial, &PatternSet::mine_with_jobs(&session, jobs));
     }
 }
 
