@@ -5,8 +5,6 @@
 //! statistics row is timed on a fresh session per iteration and mining
 //! through the uncached [`PatternSet::mine`].
 
-use std::cell::RefCell;
-
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lagalyzer_core::prelude::*;
 use lagalyzer_core::trigger::TriggerBreakdown;
@@ -22,20 +20,11 @@ fn bench_analyses(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis");
     group.throughput(criterion::Throughput::Elements(n));
     group.sample_size(20);
-    // An unmined session per iteration; the previous one is dropped in
-    // the untimed set-up.
-    let spent = RefCell::new(None);
+    // An unmined session per iteration, built and dropped untimed.
     group.bench_function("overall_stats", |b| {
-        b.iter_batched(
-            || {
-                spent.borrow_mut().take();
-                AnalysisSession::new(trace.clone(), AnalysisConfig::default())
-            },
-            |fresh| {
-                let row = SessionStats::compute(&fresh);
-                *spent.borrow_mut() = Some(fresh);
-                row
-            },
+        b.iter_batched_ref(
+            || AnalysisSession::new(trace.clone(), AnalysisConfig::default()),
+            |fresh| SessionStats::compute(fresh),
             BatchSize::LargeInput,
         );
     });

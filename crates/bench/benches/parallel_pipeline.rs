@@ -10,8 +10,6 @@
 //! from an unmined session (statistics) or calls the uncached
 //! [`PatternSet::mine_with_jobs`] (mining).
 
-use std::cell::RefCell;
-
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion, Throughput};
 use lagalyzer_bench::benchjson;
 use lagalyzer_core::parallel::{available_jobs, effective_jobs};
@@ -48,24 +46,16 @@ fn bench_stats_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_stats_by_jobs");
     group.sample_size(10);
     group.throughput(Throughput::Elements(trace.episodes().len() as u64));
-    // Each iteration gets an unmined session; the previous one is dropped
-    // in the untimed set-up, so freeing a 29k-episode trace is not timed.
-    let spent = RefCell::new(None);
+    // Each iteration gets an unmined session, built and dropped untimed,
+    // so freeing a 29k-episode trace is not timed.
     for jobs in job_counts() {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("jobs{jobs}")),
             &jobs,
             |b, &jobs| {
-                b.iter_batched(
-                    || {
-                        spent.borrow_mut().take();
-                        AnalysisSession::new(trace.clone(), AnalysisConfig::default())
-                    },
-                    |session| {
-                        let row = SessionStats::compute_with_jobs(&session, jobs);
-                        *spent.borrow_mut() = Some(session);
-                        row
-                    },
+                b.iter_batched_ref(
+                    || AnalysisSession::new(trace.clone(), AnalysisConfig::default()),
+                    |session| SessionStats::compute_with_jobs(session, jobs),
                     BatchSize::LargeInput,
                 );
             },
