@@ -34,7 +34,7 @@ pub struct CheckSubject<'a> {
     pub salvage: Option<&'a SalvageReport>,
     /// Total length of the raw input file, for trailer spans.
     pub file_len: Option<u64>,
-    /// Health of the persisted rollup section, when the input is a v2
+    /// Health of the persisted rollup section, when the input is a v2+
     /// binary trace (`None` for text and legacy-v1 inputs).
     pub rollup: Option<&'a RollupHealth>,
 }

@@ -16,7 +16,7 @@
 //! | LA009 | extent-mismatch         | warning  | the extent footer agrees with the decoded payloads |
 //! | LA010 | duplicate-episode-id    | error    | episode ids are unique within a session |
 //! | LA011 | salvage-skip            | warning  | explains every region salvage decoding skipped |
-//! | LA012 | checksum-mismatch       | error    | the FNV-1a trailer checksum verifies |
+//! | LA012 | checksum-mismatch       | error    | the trailer checksum (XXH64; FNV-1a before format v3) verifies |
 //! | LA013 | index-degraded          | note     | the episode index came from the footer, not a fallback scan |
 //! | LA014 | stale-rollup            | note     | the persisted rollup section matches the episode payload it summarizes |
 //! | LA020 | lock-order-inversion    | error    | no held-while-acquiring cycle in the session lock graph (hazards) |
@@ -607,7 +607,8 @@ impl Rule for SalvageSkipRule {
     }
 }
 
-/// LA012: the FNV-1a trailer checksum must verify.
+/// LA012: the trailer checksum (XXH64; FNV-1a before format v3) must
+/// verify.
 struct ChecksumMismatch;
 
 impl Rule for ChecksumMismatch {

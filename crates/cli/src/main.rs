@@ -859,7 +859,7 @@ fn decode_corpus_sessions(
     }
 }
 
-/// Opens `path` as a clean v2 binary trace carrying a validated rollup —
+/// Opens `path` as a clean v2+ binary trace carrying a validated rollup —
 /// the precondition for the zero-decode warm analysis path. `None`
 /// routes the caller down the cold decode path (text traces, corpora,
 /// `--salvage`, `--check`, `--no-cache`, missing or stale rollups).

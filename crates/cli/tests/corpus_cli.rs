@@ -133,6 +133,29 @@ fn corpus_fixture_matches_generator() {
     );
 }
 
+/// `legacy-v1.lgzc` is `corpus.lgzc` as format v1 (FNV-1a) wrote it,
+/// frozen as bytes because no writer emits v1 any more. It reads exactly
+/// like the current fixture, rollup caches included, and compacting it
+/// yields the same current-version bytes as compacting the fixture.
+#[test]
+fn legacy_v1_corpus_reads_like_the_current_one() {
+    let dir = corpus_dir();
+    let legacy = dir.join("legacy-v1.lgzc");
+    let bytes = std::fs::read(&legacy).unwrap();
+    assert_eq!(&bytes[..8], b"LGLZCRP\x01");
+    let expected = std::fs::read_to_string(dir.join("EXPECTED_CORPUS.txt")).unwrap();
+    assert_eq!(snapshot(&legacy), expected);
+
+    let current = std::fs::read(dir.join("corpus.lgzc")).unwrap();
+    let compact = |bytes: Vec<u8>| {
+        let reader = corpus::CorpusReader::open(bytes).unwrap();
+        corpus::compact(&reader, 1, PackOptions::default()).unwrap()
+    };
+    let from_legacy = compact(bytes);
+    assert_eq!(&from_legacy[..8], b"LGLZCRP\x02");
+    assert_eq!(from_legacy, compact(current));
+}
+
 /// `lint` on a corpus prints one index-health line per session plus the
 /// aggregate verdict, and keeps the 0/1/2/3 exit contract: the fixture
 /// corpus has one damaged member, so it exits 2.

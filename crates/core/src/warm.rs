@@ -1,6 +1,6 @@
 //! Zero-decode warm analysis over persisted rollups.
 //!
-//! When a v2 binary trace (or a corpus session) carries a validated
+//! When a v2+ binary trace (or a corpus session) carries a validated
 //! rollup section, the facts the headline analyses need — shape token
 //! streams, tree metrics, per-category lag breakdowns — are already on
 //! disk next to the extent index. A [`WarmSession`] reconstructs pattern

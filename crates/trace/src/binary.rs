@@ -3,33 +3,41 @@
 //! Layout (all integers LEB128 unless noted):
 //!
 //! ```text
-//! magic      8 bytes  b"LGLZTRC\x02" (the last byte is the version)
+//! magic      8 bytes  b"LGLZTRC\x03" (the last byte is the version)
 //! header     app name (len+utf8), session id, gui thread,
 //!            end-to-end ns, filter threshold ns
 //! records    count, then each record: 1 tag byte + payload
-//! footer     v2 only: the episode extent index (see [`crate::index`]),
+//! footer     v2+: the episode extent index (see [`crate::index`]),
 //!            self-checksummed and locatable from the end of the file
-//! trailer    8 bytes little-endian FNV-1a checksum over
-//!            header+records+footer
+//! rollup     optional, v2+: the warm-path cache (see [`crate::rollup`])
+//! trailer    8 bytes little-endian checksum over
+//!            header+records+footer+rollup
 //! ```
 //!
 //! The checksum lets the reader detect truncation and bit rot before
-//! handing malformed structures to the analyses. Version 1 files (no
-//! footer) remain fully readable; [`write_legacy`] still produces them.
+//! handing malformed structures to the analyses. Version 3 seals every
+//! checksum with XXH64; versions 1 and 2 use FNV-1a and stay readable
+//! (see the `checksum` module). Version 1 files have no footer;
+//! [`write_legacy`] still produces them. Nothing writes version 2, so a
+//! rewrite of a v2 file (compaction, a rollup rebuild) yields v3.
 
 use std::io::{Read, Write};
 
 use lagalyzer_model::prelude::*;
 
+use crate::checksum::{Checksum, Hasher};
 use crate::error::TraceError;
 use crate::record::{records_from_trace, trace_from_records, TraceRecord};
 use crate::varint;
 
-/// The legacy footerless format.
+/// The legacy footerless format (FNV-1a).
 const MAGIC_V1: &[u8; 8] = b"LGLZTRC\x01";
 
-/// The current format, carrying an episode extent index footer.
-const MAGIC_V2: &[u8; 8] = b"LGLZTRC\x02";
+/// The current format: an episode extent index footer, XXH64 checksums.
+const MAGIC_V3: &[u8; 8] = b"LGLZTRC\x03";
+
+/// The newest version byte readers accept (1 and 2 are read-only).
+pub(crate) const CURRENT_VERSION: u8 = 3;
 
 /// The version-independent format signature (byte 8 of the magic is the
 /// version); used by format sniffing and salvage decoding.
@@ -37,6 +45,22 @@ pub(crate) const MAGIC_PREFIX: &[u8] = b"LGLZTRC";
 
 /// Cap on the declared record count; anything larger is corrupt.
 pub(crate) const MAX_RECORDS: u64 = 1 << 32;
+
+/// Bytes the hashing adapters gather before hashing them in one call:
+/// the record codec moves a byte or a varint at a time, and a streaming
+/// hash pays per call.
+const STAGE: usize = 64 * 1024;
+
+/// Checks a trace's version byte, returning the hash it is sealed with.
+pub(crate) fn checksum_of_version(version: u8) -> Result<Checksum, TraceError> {
+    if (1..=CURRENT_VERSION).contains(&version) {
+        Ok(Checksum::of_trace(version))
+    } else {
+        Err(TraceError::UnsupportedVersion {
+            found: u32::from(version),
+        })
+    }
+}
 
 /// Record tag bytes.
 pub(crate) mod tag {
@@ -50,66 +74,150 @@ pub(crate) mod tag {
     pub const EP_END: u8 = 8;
 }
 
-/// Streaming FNV-1a hasher used for the trailer checksum.
-#[derive(Clone, Debug)]
-pub(crate) struct Fnv1a(u64);
+/// The hashing side of the writer. The encoder appends to `stage`, a
+/// plain `Vec` (the cheapest `Write` for its one-byte writes); full
+/// chunks are hashed and forwarded whole.
+struct HashingWriter<W> {
+    inner: W,
+    hash: Hasher,
+    stage: Vec<u8>,
+    /// Bytes hashed and forwarded so far.
+    forwarded: u64,
+}
 
-impl Fnv1a {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) fn new() -> Self {
-        Fnv1a(Self::OFFSET)
+impl<W: Write> HashingWriter<W> {
+    /// Offset of the next staged byte, counted from the end of the magic
+    /// (it gives the extent index its byte offsets).
+    fn position(&self) -> u64 {
+        self.forwarded + self.stage.len() as u64
     }
 
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(Self::PRIME);
+    /// Hashes and forwards everything staged.
+    fn drain(&mut self) -> std::io::Result<()> {
+        self.hash.update(&self.stage);
+        self.inner.write_all(&self.stage)?;
+        self.forwarded += self.stage.len() as u64;
+        self.stage.clear();
+        Ok(())
+    }
+
+    /// Drains once a full chunk is staged.
+    fn drain_full(&mut self) -> std::io::Result<()> {
+        if self.stage.len() >= STAGE {
+            self.drain()?;
+        }
+        Ok(())
+    }
+
+    /// The hash of everything written so far.
+    fn digest(&mut self) -> std::io::Result<u64> {
+        self.drain()?;
+        Ok(self.hash.finish())
+    }
+}
+
+/// A reader adapter that hashes everything it yields. It reads ahead into
+/// its own buffer and hashes the yielded bytes in bulk.
+struct HashingReader<R> {
+    inner: R,
+    hash: Hasher,
+    buf: Box<[u8]>,
+    /// `buf[pos..filled]` is read ahead but not yet yielded.
+    pos: usize,
+    filled: usize,
+    /// `buf[hashed..pos]` is yielded but not yet hashed.
+    hashed: usize,
+}
+
+impl<R: Read> HashingReader<R> {
+    fn new(inner: R, checksum: Checksum) -> Self {
+        HashingReader {
+            inner,
+            hash: checksum.hasher(),
+            buf: vec![0; STAGE].into_boxed_slice(),
+            pos: 0,
+            filled: 0,
+            hashed: 0,
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A writer adapter that hashes and counts everything it forwards (the
-/// count gives the extent index its byte offsets).
-struct HashingWriter<W> {
-    inner: W,
-    hash: Fnv1a,
-    written: u64,
-}
-
-impl<W: Write> Write for HashingWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.hash.update(&buf[..n]);
-        self.written += n as u64;
-        Ok(n)
+    /// Folds every yielded byte into the hash.
+    fn settle(&mut self) {
+        self.hash.update(&self.buf[self.hashed..self.pos]);
+        self.hashed = self.pos;
     }
 
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
+    /// The hash of everything yielded so far.
+    fn digest(&mut self) -> u64 {
+        self.settle();
+        self.hash.finish()
     }
-}
 
-/// A reader adapter that hashes everything it yields.
-struct HashingReader<R> {
-    inner: R,
-    hash: Fnv1a,
+    /// Hashes the yielded buffer and reads the next one ahead.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> std::io::Result<()> {
+        self.settle();
+        self.filled = self.inner.read(&mut self.buf)?;
+        self.pos = 0;
+        self.hashed = 0;
+        Ok(())
+    }
+
+    /// Reads bytes the hash must not cover (the trailer itself).
+    fn read_exact_unhashed(&mut self, out: &mut [u8]) -> std::io::Result<()> {
+        self.settle();
+        Unhashed(self).read_exact(out)
+    }
 }
 
 impl<R: Read> Read for HashingReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.hash.update(&buf[..n]);
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.filled {
+            self.refill()?;
+        }
+        let n = (&self.buf[self.pos..self.filled]).read(out)?;
+        self.pos += n;
+        Ok(n)
+    }
+
+    // The record decoder reads a byte or a varint at a time: the
+    // buffered case must stay small enough to inline, and the refill is
+    // kept out of line.
+    #[inline]
+    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
+        match self.buf[..self.filled].get(self.pos..self.pos + out.len()) {
+            Some(ahead) => {
+                out.copy_from_slice(ahead);
+                self.pos += out.len();
+                Ok(())
+            }
+            None => Refilling(self).read_exact(out),
+        }
+    }
+}
+
+/// The slow path of [`HashingReader::read_exact`], across a refill.
+struct Refilling<'a, R>(&'a mut HashingReader<R>);
+
+impl<R: Read> Read for Refilling<'_, R> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        self.0.read(out)
+    }
+}
+
+/// Reads through a [`HashingReader`] without hashing what it yields.
+struct Unhashed<'a, R>(&'a mut HashingReader<R>);
+
+impl<R: Read> Read for Unhashed<'_, R> {
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.0.read(out)?;
+        self.0.hashed = self.0.pos;
         Ok(n)
     }
 }
 
-/// Serializes a trace to the binary format (v2: records followed by the
+/// Serializes a trace to the binary format (v3: records followed by the
 /// episode extent index footer).
 ///
 /// A `&mut` reference may be passed for `w` (it also implements `Write`).
@@ -121,8 +229,9 @@ pub fn write<W: Write>(trace: &SessionTrace, w: W) -> Result<(), TraceError> {
     write_impl(trace, w, true, None)
 }
 
-/// Serializes a trace in the legacy v1 layout — no extent index footer —
-/// for compatibility fixtures and readers that predate the index.
+/// Serializes a trace in the legacy v1 layout — no extent index footer,
+/// FNV-1a trailer — for compatibility fixtures and readers that predate
+/// the index.
 ///
 /// # Errors
 ///
@@ -131,7 +240,7 @@ pub fn write_legacy<W: Write>(trace: &SessionTrace, w: W) -> Result<(), TraceErr
     write_impl(trace, w, false, None)
 }
 
-/// Serializes a trace to the v2 binary format with a persisted rollup
+/// Serializes a trace to the v3 binary format with a persisted rollup
 /// section appended after the extent footer (inside the trailer-checksummed
 /// region). The rollup's content checksum is stamped here — it is the
 /// trailer hash's running state at the section boundary — so callers
@@ -154,16 +263,12 @@ fn write_impl<W: Write>(
     with_footer: bool,
     rollup: Option<crate::rollup::Rollup>,
 ) -> Result<(), TraceError> {
-    let mut hw = HashingWriter {
-        inner: w,
-        hash: Fnv1a::new(),
-        written: 0,
+    let (magic, checksum) = if with_footer {
+        (MAGIC_V3, Checksum::CURRENT)
+    } else {
+        (MAGIC_V1, Checksum::Fnv1a)
     };
-    hw.inner
-        .write_all(if with_footer { MAGIC_V2 } else { MAGIC_V1 })?;
-    write_header(trace.meta(), &mut hw)?;
     let records = records_from_trace(trace);
-    varint::write_u64(&mut hw, records.len() as u64)?;
     // The writer emits one EpisodeEnd per episode, in dispatch order, so
     // the k-th end record closes `trace.episodes()[k]` — that pairing
     // supplies the extent metadata without re-deriving it from records.
@@ -172,17 +277,28 @@ fn write_impl<W: Write>(
     } else {
         0
     });
+    // Set up after the large vectors above: allocated before them, the
+    // staging buffer measurably slowed writes into a growing `Vec`.
+    let mut hw = HashingWriter {
+        inner: w,
+        hash: checksum.hasher(),
+        stage: Vec::with_capacity(2 * STAGE),
+        forwarded: 0,
+    };
+    hw.inner.write_all(magic)?;
+    write_header(trace.meta(), &mut hw.stage)?;
+    varint::write_u64(&mut hw.stage, records.len() as u64)?;
     let mut begin_at = 0u64;
     for rec in &records {
         if with_footer && matches!(rec, TraceRecord::EpisodeBegin { .. }) {
-            begin_at = 8 + hw.written;
+            begin_at = 8 + hw.position();
         }
-        write_record(rec, &mut hw)?;
+        write_record(rec, &mut hw.stage)?;
         if with_footer && matches!(rec, TraceRecord::EpisodeEnd) {
             let episode = &trace.episodes()[extents.len()];
             extents.push(crate::index::EpisodeExtent {
                 offset: begin_at,
-                len: 8 + hw.written - begin_at,
+                len: 8 + hw.position() - begin_at,
                 id: episode.id(),
                 start: episode.start(),
                 end: episode.end(),
@@ -191,11 +307,12 @@ fn write_impl<W: Write>(
                 skips: 0,
             });
         }
+        hw.drain_full()?;
     }
     if with_footer {
-        let footer = crate::index::encode_footer(&extents)?;
-        // Through the hasher: the trailer checksum covers the footer.
-        hw.write_all(&footer)?;
+        // Staged too: the trailer checksum covers the footer.
+        hw.stage
+            .extend_from_slice(&crate::index::encode_footer(&extents)?);
     }
     if let Some(mut rollup) = rollup {
         // The content checksum is the trailer hash's running state at the
@@ -203,12 +320,12 @@ fn write_impl<W: Write>(
         // own (single) trailer pass, so validating the cache costs no
         // second pass over the payload; a rollup-unaware rewriter that
         // recomputes the trailer still cannot keep this snapshot current.
-        rollup.content_checksum = hw.hash.finish();
-        let section = crate::rollup::encode_section(&rollup)?;
-        // Also through the hasher: the trailer checksum covers the rollup.
-        hw.write_all(&section)?;
+        rollup.content_checksum = hw.digest()?;
+        // Also staged: the trailer checksum covers the rollup.
+        hw.stage
+            .extend_from_slice(&crate::rollup::encode_section(&rollup)?);
     }
-    let checksum = hw.hash.finish();
+    let checksum = hw.digest()?;
     hw.inner.write_all(&checksum.to_le_bytes())?;
     hw.inner.flush()?;
     Ok(())
@@ -275,29 +392,22 @@ pub struct Reader<R> {
 }
 
 impl<R: Read> Reader<R> {
-    /// Opens a binary trace, reading and validating the header. Both the
-    /// current (v2) and the legacy footerless (v1) layouts are accepted.
+    /// Opens a binary trace, reading and validating the header. The
+    /// current (v3) layout and the read-only v2 and footerless v1 layouts
+    /// are accepted.
     ///
     /// # Errors
     ///
     /// Fails on I/O errors, bad magic, an unsupported version, or an
     /// absurd declared record count.
-    pub fn new(r: R) -> Result<Self, TraceError> {
-        let mut hr = HashingReader {
-            inner: r,
-            hash: Fnv1a::new(),
-        };
+    pub fn new(mut r: R) -> Result<Self, TraceError> {
         let mut magic = [0u8; 8];
-        hr.inner.read_exact(&mut magic)?;
+        r.read_exact(&mut magic)?;
         if magic[..7] != *MAGIC_PREFIX {
             return Err(TraceError::corrupt("magic", format!("{magic:?}")));
         }
         let version = magic[7];
-        if version != 1 && version != 2 {
-            return Err(TraceError::UnsupportedVersion {
-                found: u32::from(version),
-            });
-        }
+        let mut hr = HashingReader::new(r, checksum_of_version(version)?);
         let meta = read_header(&mut hr)?;
         let count = varint::read_u64(&mut hr)?;
         if count > MAX_RECORDS {
@@ -351,13 +461,13 @@ impl<R: Read> Reader<R> {
                 // be folded into the hash by hand (the trailer covers the
                 // section), the trailer itself must not be.
                 let mut trailer = [0u8; 8];
-                self.source.inner.read_exact(&mut trailer)?;
+                self.source.read_exact_unhashed(&mut trailer)?;
                 if self.version >= 2 && &trailer == crate::rollup::ROLLUP_MAGIC {
                     self.source.hash.update(&trailer);
                     self.consume_section_body(crate::rollup::ROLLUP_MAGIC, "rollup section")?;
-                    self.source.inner.read_exact(&mut trailer)?;
+                    self.source.read_exact_unhashed(&mut trailer)?;
                 }
-                let computed = self.source.hash.finish();
+                let computed = self.source.digest();
                 let stored = u64::from_le_bytes(trailer);
                 if stored != computed {
                     return Err(TraceError::ChecksumMismatch { stored, computed });
@@ -371,7 +481,7 @@ impl<R: Read> Reader<R> {
         Ok(Some(record))
     }
 
-    /// Streams the v2 extent-index footer through the hasher so the
+    /// Streams the extent-index footer (v2+) through the hasher so the
     /// trailer checksum can be verified; the extents themselves are not
     /// needed here (random access wants [`crate::IndexedTrace`]).
     fn consume_footer(&mut self) -> Result<(), TraceError> {
@@ -417,13 +527,6 @@ impl<R: Read> Reader<R> {
         }
         Ok(())
     }
-}
-
-/// Hashes a byte slice with the trailer's FNV-1a function.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
 }
 
 /// What the salvage cursor found next in the byte stream.
@@ -473,15 +576,15 @@ impl<'a> SalvageCursor<'a> {
             return Err(TraceError::corrupt("magic", format!("{:?}", &bytes[..8])));
         }
         let version = bytes[7];
-        let indexed = version >= 2;
-        if version != 1 && version != 2 {
+        // An unknown version decodes as the nearest supported one.
+        let as_version = version.clamp(1, CURRENT_VERSION);
+        let indexed = as_version >= 2;
+        let checksum = Checksum::of_trace(as_version);
+        if as_version != version {
             pending.push_back(SalvageEvent::Skip {
                 at: 7,
                 context: "version",
-                detail: format!(
-                    "unsupported version {version}, decoding as v{}",
-                    if indexed { 2 } else { 1 }
-                ),
+                detail: format!("unsupported version {version}, decoding as v{as_version}"),
                 bytes_skipped: 0,
             });
         }
@@ -521,7 +624,10 @@ impl<'a> SalvageCursor<'a> {
             let stored = u64::from_le_bytes(trailer);
             // The hash covers header + records but not the magic (the
             // writer hashes only what flows through its HashingWriter).
-            (payload_end, Some(stored == fnv1a(&bytes[8..payload_end])))
+            (
+                payload_end,
+                Some(stored == checksum.digest(&bytes[8..payload_end])),
+            )
         } else {
             pending.push_back(SalvageEvent::Skip {
                 at: bytes.len() as u64,
@@ -539,8 +645,8 @@ impl<'a> SalvageCursor<'a> {
         // the footer magic — see `next_event` — so footer bytes are never
         // misread as records.
         let (payload_end, footer_located) = if indexed {
-            let peeled_end = crate::rollup::peel(bytes, payload_end).end;
-            match crate::index::locate_footer(bytes, peeled_end) {
+            let peeled_end = crate::rollup::peel(bytes, payload_end, checksum).end;
+            match crate::index::locate_footer(bytes, peeled_end, checksum) {
                 Ok((footer_start, _)) => (footer_start, true),
                 Err(_) => (payload_end, false),
             }
@@ -1025,14 +1131,6 @@ mod tests {
         let back = read(&mut encode(&trace).as_slice()).unwrap();
         assert!(back.episodes().is_empty());
     }
-
-    #[test]
-    fn fnv_vector() {
-        // Known FNV-1a test vector: "a" hashes to 0xaf63dc4c8601ec8c.
-        let mut h = Fnv1a::new();
-        h.update(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-    }
 }
 
 #[cfg(test)]
@@ -1122,5 +1220,50 @@ mod reader_tests {
         }
         let rebuilt = trace_from_records(reader.meta().clone(), records).unwrap();
         assert_eq!(rebuilt.episodes(), whole.episodes());
+    }
+
+    /// A source that hands out at most `chunk` bytes per read, so the
+    /// reader's read-ahead buffer refills mid-record and mid-trailer.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn short_reads_hash_every_byte_once() {
+        let plain = fixture_bytes();
+        let whole = read(plain.as_slice()).unwrap();
+        let mut rolled = Vec::new();
+        write_with_rollup(&whole, &mut rolled, crate::rollup::Rollup::default()).unwrap();
+        for bytes in [plain, rolled] {
+            for chunk in [1, 3, 7, 64] {
+                let trickle = Trickle {
+                    bytes: &bytes,
+                    chunk,
+                };
+                let back = read(trickle).unwrap();
+                assert_eq!(back.episodes(), whole.episodes(), "chunk {chunk}");
+                let mut damaged = bytes.clone();
+                let last = damaged.len() - 1;
+                damaged[last] ^= 1;
+                let trickle = Trickle {
+                    bytes: &damaged,
+                    chunk,
+                };
+                assert!(
+                    matches!(read(trickle), Err(TraceError::ChecksumMismatch { .. })),
+                    "chunk {chunk}"
+                );
+            }
+        }
     }
 }

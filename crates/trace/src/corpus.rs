@@ -14,7 +14,7 @@
 //! Layout (integers little-endian; varints are LEB128 as in `.lgz`):
 //!
 //! ```text
-//! magic        8 bytes  b"LGLZCRP\x01" (the last byte is the version)
+//! magic        8 bytes  b"LGLZCRP\x02" (the last byte is the version)
 //! header       flags u32, session count u32, then five u64 region
 //!              offsets: strings, sessions, sections, extents, data
 //! strings      corpus-global deduplicated string pool: count, then
@@ -34,9 +34,14 @@
 //! data         concatenated payload sections (episode record bytes
 //!              only — session-level records are hoisted into the
 //!              directory regions above)
-//! trailer      8 bytes LE FNV-1a over everything between magic and
+//! trailer      8 bytes LE checksum over everything between magic and
 //!              trailer
 //! ```
+//!
+//! Version 2 seals the trailer and the rollup content checksums with
+//! XXH64; version 1 used FNV-1a and stays readable (see
+//! the `checksum` module). Nothing writes version 1, so compacting a v1
+//! corpus yields v2.
 //!
 //! Because a session's payload is the byte-for-byte concatenation of its
 //! episode extents and the episode decoder is shared with
@@ -53,7 +58,8 @@ use lagalyzer_model::{
     SymbolId, SymbolTable, TimeNs,
 };
 
-use crate::binary::{fnv1a, read_header, write_header};
+use crate::binary::{read_header, write_header};
+use crate::checksum::Checksum;
 use crate::error::TraceError;
 use crate::index::{
     decode_extent, decode_extents, encode_extents_into, DecodeScratch, EpisodeExtent,
@@ -66,8 +72,9 @@ use crate::varint;
 /// The version-independent corpus signature (byte 8 is the version).
 pub(crate) const CORPUS_MAGIC_PREFIX: &[u8] = b"LGLZCRP";
 
-/// The current corpus format: prefix plus version byte 1.
-const CORPUS_MAGIC: &[u8; 8] = b"LGLZCRP\x01";
+/// The current corpus format: prefix plus version byte 2 (XXH64; version
+/// 1, FNV-1a, is read-only).
+const CORPUS_MAGIC: &[u8; 8] = b"LGLZCRP\x02";
 
 /// Fixed header size: magic, flags, session count, five region offsets.
 const HEADER_LEN: usize = 8 + 4 + 4 + 5 * 8;
@@ -364,11 +371,11 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
         varint::write_u64(&mut sections, session.payload.len() as u64)?;
         if let Some(rollup) = &session.rollup {
             // The payload is exactly the concatenation of the extent
-            // spans, so the content checksum is the FNV of the whole
+            // spans, so the content checksum is the hash of the whole
             // payload region; recompute it so a supplied rollup is
             // stamped against the bytes actually written.
             let mut rollup = rollup.clone();
-            rollup.content_checksum = crate::rollup::content_checksum(&session.payload);
+            rollup.content_checksum = Checksum::CURRENT.digest(&session.payload);
             let raw = rollup.encode_payload()?;
             let (flags, offset, stored_len) = store(&mut data, &raw);
             sections.push(SECTION_ROLLUP);
@@ -416,7 +423,7 @@ fn pack_sessions(sessions: &[PackSession], options: PackOptions) -> Result<Vec<u
     out.extend_from_slice(&sections);
     out.extend_from_slice(&extents);
     out.extend_from_slice(&data);
-    let checksum = fnv1a(&out[8..]);
+    let checksum = Checksum::CURRENT.digest(&out[8..]);
     out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
@@ -489,14 +496,15 @@ impl CorpusReader {
                 format!("{:?}", &bytes[..8]),
             ));
         }
-        if bytes[7] != 1 {
+        if !(1..=CORPUS_MAGIC[7]).contains(&bytes[7]) {
             return Err(TraceError::UnsupportedVersion {
                 found: u32::from(bytes[7]),
             });
         }
+        let checksum = Checksum::of_corpus(bytes[7]);
         let payload_end = bytes.len() - 8;
         let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8-byte slice"));
-        let computed = fnv1a(&bytes[8..payload_end]);
+        let computed = checksum.digest(&bytes[8..payload_end]);
         if stored != computed {
             return Err(TraceError::ChecksumMismatch { stored, computed });
         }
@@ -578,8 +586,14 @@ impl CorpusReader {
                 Payload::Raw(range) => &bytes[range.clone()],
                 Payload::Decompressed(buf) => buf.as_slice(),
             };
-            let (rollup, rollup_health) =
-                open_rollup(&bytes, data_off, rollup_section, payload_bytes, &extents);
+            let (rollup, rollup_health) = open_rollup(
+                &bytes,
+                data_off,
+                rollup_section,
+                payload_bytes,
+                &extents,
+                checksum,
+            );
             sessions.push(SessionEntry {
                 meta: dir.meta,
                 symbols: dir.symbols,
@@ -1252,6 +1266,7 @@ fn open_rollup(
     section: Option<Section>,
     payload_bytes: &[u8],
     extents: &[EpisodeExtent],
+    checksum: Checksum,
 ) -> (Option<Rollup>, RollupHealth) {
     let Some(section) = section else {
         return (None, RollupHealth::Absent);
@@ -1289,7 +1304,7 @@ fn open_rollup(
         Ok(_) => return stale("trailing bytes after the rollup payload".into()),
         Err(err) => return stale(format!("payload does not decode: {err}")),
     };
-    let expected = crate::rollup::content_checksum(payload_bytes);
+    let expected = checksum.digest(payload_bytes);
     match crate::rollup::validate(rollup, expected, extents.len()) {
         Some(rollup) => (Some(rollup), RollupHealth::Valid { section_bytes }),
         None => stale("content checksum mismatch".into()),

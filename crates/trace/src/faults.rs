@@ -116,6 +116,21 @@ impl Fault {
     }
 }
 
+/// Re-stamps the trailer of a binary trace so it verifies again, hashing
+/// with the function its version byte names. Tests damage the
+/// checksummed region and reseal it to reach the checks behind the
+/// trailer: the footer's and rollup section's own checksums and the
+/// rollup content checksum. Inputs shorter than magic plus trailer are
+/// left unchanged.
+pub fn reseal(bytes: &mut [u8]) {
+    if bytes.len() < 16 {
+        return;
+    }
+    let end = bytes.len() - 8;
+    let sum = crate::checksum::Checksum::of_trace(bytes[7]).digest(&bytes[8..end]);
+    bytes[end..].copy_from_slice(&sum.to_le_bytes());
+}
+
 /// Seeded, deterministic source of [`Fault`]s (see the module docs for
 /// the determinism contract).
 #[derive(Clone, Debug)]

@@ -8,9 +8,9 @@
 //! duration-band and time-window queries without touching the episode's
 //! bytes at all.
 //!
-//! The table is carried in a checksummed **footer** that v2 binary traces
+//! The table is carried in a checksummed **footer** that v2+ binary traces
 //! append between the last record and the trailer (see the layout in
-//! [`crate::binary`]). For legacy v1 traces — or a v2 trace whose footer
+//! [`crate::binary`]). For legacy v1 traces — or a v2+ trace whose footer
 //! is damaged — the same table is reconstructed by a single cheap scan
 //! that skims record boundaries without materializing episode bodies.
 //! Salvage mode rebuilds the table too, recording per-extent how many
@@ -33,7 +33,10 @@ use lagalyzer_model::{
     StackFrame, SymbolId, SymbolTable, ThreadId, ThreadSample, ThreadState, TimeNs,
 };
 
-use crate::binary::{fnv1a, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS};
+use crate::binary::{
+    checksum_of_version, read_header, read_record, tag, MAGIC_PREFIX, MAX_RECORDS,
+};
+use crate::checksum::Checksum;
 use crate::error::TraceError;
 use crate::record::TraceRecord;
 use crate::salvage::SalvageReport;
@@ -256,7 +259,8 @@ impl std::fmt::Display for IndexHealth {
 ///              previous extent's end; first is absolute), length, id,
 ///              start (delta from the previous start; first is absolute),
 ///              duration, interval count, sample count, skip count
-/// checksum     8 bytes LE FNV-1a over magic..payload
+/// checksum     8 bytes LE, the trace version's hash (see
+///              the `checksum` module) over magic..payload
 /// length       8 bytes LE total footer size (magic through magic)
 /// magic        8 bytes  b"LGLZIDX\x01" (locator, scanned from the end)
 /// ```
@@ -267,7 +271,7 @@ pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceE
     footer.extend_from_slice(FOOTER_MAGIC);
     varint::write_u64(&mut footer, payload.len() as u64)?;
     footer.extend_from_slice(&payload);
-    let checksum = fnv1a(&footer);
+    let checksum = Checksum::CURRENT.digest(&footer);
     footer.extend_from_slice(&checksum.to_le_bytes());
     let total = footer.len() as u64 + 16;
     footer.extend_from_slice(&total.to_le_bytes());
@@ -275,9 +279,9 @@ pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceE
     Ok(footer)
 }
 
-/// Locates and decodes the footer of a v2 trace whose record-and-footer
+/// Locates and decodes the footer of a v2+ trace whose record-and-footer
 /// region ends at `payload_end` (i.e. just before the trailer checksum,
-/// when one exists).
+/// when one exists); `checksum` is the hash of the trace's version.
 ///
 /// Returns the footer's start offset and the decoded extent table, or a
 /// human-readable reason the footer cannot be used (callers then fall
@@ -285,6 +289,7 @@ pub(crate) fn encode_footer(extents: &[EpisodeExtent]) -> Result<Vec<u8>, TraceE
 pub(crate) fn locate_footer(
     bytes: &[u8],
     payload_end: usize,
+    checksum: Checksum,
 ) -> Result<(usize, Vec<EpisodeExtent>), String> {
     if payload_end < FOOTER_FIXED + 1 || payload_end > bytes.len() {
         return Err("input too short for a footer".into());
@@ -310,7 +315,7 @@ pub(crate) fn locate_footer(
             .try_into()
             .expect("8-byte slice"),
     );
-    let computed = fnv1a(&bytes[footer_start..checked_end]);
+    let computed = checksum.digest(&bytes[footer_start..checked_end]);
     if stored != computed {
         return Err("footer checksum mismatch".into());
     }
@@ -808,15 +813,11 @@ impl IndexedTrace {
             return Err(TraceError::corrupt("magic", format!("{:?}", &bytes[..8])));
         }
         let version = bytes[7];
-        if version != 1 && version != 2 {
-            return Err(TraceError::UnsupportedVersion {
-                found: u32::from(version),
-            });
-        }
+        let checksum = checksum_of_version(version)?;
         let payload_end = bytes.len() - 8;
         let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8-byte slice"));
         // One pass serves two checks: when a rollup section is framed at
-        // the back (v2 only), snapshot the running trailer hash at the
+        // the back (v2+), snapshot the running trailer hash at the
         // section boundary — the writer stamped that exact state into the
         // section as its content checksum, so the cache is validated
         // without a second pass over the payload.
@@ -826,7 +827,7 @@ impl IndexedTrace {
             None
         };
         let split = section_start.unwrap_or(payload_end);
-        let mut hash = crate::binary::Fnv1a::new();
+        let mut hash = checksum.hasher();
         hash.update(&bytes[8..split]);
         let content_snapshot = section_start.map(|_| hash.finish());
         hash.update(&bytes[split..payload_end]);
@@ -851,9 +852,9 @@ impl IndexedTrace {
             // footer (when present) sits directly below it. An unusable
             // section is simply dropped — the cache degrades, never the
             // decode.
-            let peeled = crate::rollup::peel(bytes, payload_end);
+            let peeled = crate::rollup::peel(bytes, payload_end, checksum);
             rollup = peeled.rollup.and_then(Result::ok);
-            match locate_footer(bytes, peeled.end) {
+            match locate_footer(bytes, peeled.end, checksum) {
                 Ok((footer_start, extents)) => {
                     Self::decode_gaps(bytes, records_start, footer_start, &extents, &mut session)?;
                     (extents, IndexHealth::FooterValid)
@@ -1337,8 +1338,9 @@ pub fn probe_health(bytes: &[u8]) -> Option<IndexHealth> {
     if bytes[7] < 2 {
         return Some(IndexHealth::FooterAbsent);
     }
-    let peeled = crate::rollup::peel(bytes, bytes.len() - 8);
-    match locate_footer(bytes, peeled.end) {
+    let checksum = Checksum::of_trace(bytes[7]);
+    let peeled = crate::rollup::peel(bytes, bytes.len() - 8, checksum);
+    match locate_footer(bytes, peeled.end, checksum) {
         Ok(_) => Some(IndexHealth::FooterValid),
         Err(reason) => Some(IndexHealth::FooterInvalid(reason)),
     }
@@ -1347,14 +1349,15 @@ pub fn probe_health(bytes: &[u8]) -> Option<IndexHealth> {
 /// Cheap rollup-health probe for diagnostics (`lagalyzer lint` and the
 /// `LA014` check rule): reports whether `bytes` carries a rollup section
 /// and whether it would be trusted, without decoding any episode. `None`
-/// when the input is not a v2 binary trace (v1 has no section region).
+/// when the input is not a v2+ binary trace (v1 has no section region).
 pub fn probe_rollup(bytes: &[u8]) -> Option<crate::rollup::RollupHealth> {
     use crate::rollup::RollupHealth;
     if bytes.len() < 16 || &bytes[..7] != MAGIC_PREFIX || bytes[7] < 2 {
         return None;
     }
     let payload_end = bytes.len() - 8;
-    let peeled = crate::rollup::peel(bytes, payload_end);
+    let checksum = Checksum::of_trace(bytes[7]);
+    let peeled = crate::rollup::peel(bytes, payload_end, checksum);
     let section_bytes = (payload_end - peeled.end) as u64;
     Some(match peeled.rollup {
         None => RollupHealth::Absent,
@@ -1362,13 +1365,13 @@ pub fn probe_rollup(bytes: &[u8]) -> Option<crate::rollup::RollupHealth> {
             reason,
             section_bytes,
         },
-        Some(Ok(rollup)) => match locate_footer(bytes, peeled.end) {
+        Some(Ok(rollup)) => match locate_footer(bytes, peeled.end, checksum) {
             Err(reason) => RollupHealth::Stale {
                 reason: format!("extent footer unusable ({reason})"),
                 section_bytes,
             },
             Ok((_, extents)) => {
-                let expected = crate::rollup::content_checksum(&bytes[8..peeled.end]);
+                let expected = checksum.digest(&bytes[8..peeled.end]);
                 if crate::rollup::validate(rollup, expected, extents.len()).is_some() {
                     RollupHealth::Valid { section_bytes }
                 } else {

@@ -6,7 +6,8 @@
 //! codecs:
 //!
 //! * a compact **binary** codec ([`binary`]) with varint-encoded integers
-//!   and an FNV-1a trailer checksum, and
+//!   and an XXH64 trailer checksum (FNV-1a in read-only older versions),
+//!   and
 //! * a human-readable, line-based **text** codec ([`text`]).
 //!
 //! Both codecs round-trip a [`lagalyzer_model::SessionTrace`] exactly. A
@@ -52,6 +53,7 @@
 
 pub mod auto;
 pub mod binary;
+mod checksum;
 pub mod corpus;
 pub mod error;
 pub mod faults;

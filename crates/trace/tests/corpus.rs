@@ -2,8 +2,9 @@
 //! its strict-decode outcome, salvage-decode outcome, and full semantic
 //! `check --format json` report locked in `tests/corpus/EXPECTED.txt`.
 //!
-//! To regenerate the fixtures and the snapshot after an intentional
-//! format change:
+//! To regenerate the generated fixtures and the snapshot after an
+//! intentional format change (the [`FROZEN`] fixtures are never
+//! rewritten):
 //!
 //! ```text
 //! LAGALYZER_REGEN_CORPUS=1 cargo test -p lagalyzer-trace --test corpus
@@ -14,13 +15,23 @@ use std::path::PathBuf;
 
 use lagalyzer_model::prelude::*;
 use lagalyzer_trace::faults::Fault;
-use lagalyzer_trace::{binary, read_bytes, read_bytes_salvage, text, TraceError};
+use lagalyzer_trace::{
+    binary, probe_rollup, read_bytes, read_bytes_salvage, text, IndexHealth, IndexedTrace, Rollup,
+    RollupHealth, TraceError,
+};
 
 fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("corpus")
 }
+
+/// Fixtures frozen as bytes an earlier format version wrote: writers emit
+/// only the current version, so no generator reproduces them. They keep
+/// the read-only FNV-1a path covered; their outcomes are snapshot-locked
+/// like the rest, and `corpus_fixtures_match_generator` skips them. Both
+/// hold [`base_trace`] as format v2, the second with a rollup section.
+const FROZEN: [&str; 2] = ["legacy-v2.lgz", "legacy-v2-rollup.lgz"];
 
 /// The deterministic session every binary fixture derives from.
 fn base_trace() -> SessionTrace {
@@ -92,7 +103,7 @@ fn fixtures() -> Vec<(&'static str, Vec<u8>)> {
     let mut legacy = Vec::new();
     binary::write_legacy(&trace, &mut legacy).unwrap();
     let mut version_skew = bin.clone();
-    version_skew[7] = 3;
+    version_skew[7] = 4;
     let mut checksum_mismatch = bin.clone();
     let last = checksum_mismatch.len() - 1;
     checksum_mismatch[last] ^= 0xff;
@@ -217,6 +228,10 @@ fn corpus_outcomes_match_snapshot() {
             std::fs::write(dir.join(name), &bytes).unwrap();
             writeln!(expected, "{}", snapshot_line(name, &bytes)).unwrap();
         }
+        for name in FROZEN {
+            let bytes = std::fs::read(dir.join(name)).unwrap();
+            writeln!(expected, "{}", snapshot_line(name, &bytes)).unwrap();
+        }
         std::fs::write(dir.join("EXPECTED.txt"), expected).unwrap();
         return;
     }
@@ -224,7 +239,8 @@ fn corpus_outcomes_match_snapshot() {
     let expected = std::fs::read_to_string(dir.join("EXPECTED.txt"))
         .expect("tests/corpus/EXPECTED.txt missing — run with LAGALYZER_REGEN_CORPUS=1");
     let mut actual = String::new();
-    for (name, _) in fixtures() {
+    let names = fixtures().into_iter().map(|(name, _)| name);
+    for name in names.chain(FROZEN) {
         let bytes = std::fs::read(dir.join(name))
             .unwrap_or_else(|e| panic!("corpus fixture {name} unreadable: {e}"));
         writeln!(actual, "{}", snapshot_line(name, &bytes)).unwrap();
@@ -269,4 +285,58 @@ fn corpus_salvage_never_panics() {
         }
         eprintln!("corpus file {name}: ok");
     }
+}
+
+/// The frozen v2 fixtures still verify and decode byte-identically to the
+/// current format's encoding of the same session, and the v2 rollup still
+/// validates, so the warm path hits. Rewriting it yields a v3 file whose
+/// rollup differs only in its content checksum.
+#[test]
+fn frozen_v2_fixtures_decode_like_v3() {
+    let dir = corpus_dir();
+    let canonical = |trace: &SessionTrace| {
+        let mut bytes = Vec::new();
+        binary::write(trace, &mut bytes).unwrap();
+        bytes
+    };
+    let v3 = canonical(&base_trace());
+    assert_eq!(v3[7], 3);
+    let want = canonical(&binary::read(v3.as_slice()).unwrap());
+    for name in FROZEN {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(bytes[7], 2, "{name} must stay a v2 file");
+        let serial = binary::read(bytes.as_slice()).unwrap();
+        assert_eq!(canonical(&serial), want, "{name}: serial decode");
+        let indexed = IndexedTrace::open(bytes).unwrap();
+        assert_eq!(indexed.health(), &IndexHealth::FooterValid, "{name}");
+        for jobs in [1, 2] {
+            let decoded = indexed.par_decode(jobs).unwrap();
+            assert_eq!(
+                canonical(&decoded),
+                want,
+                "{name}: indexed decode at {jobs} jobs"
+            );
+        }
+    }
+
+    let rolled = std::fs::read(dir.join("legacy-v2-rollup.lgz")).unwrap();
+    assert!(matches!(
+        probe_rollup(&rolled),
+        Some(RollupHealth::Valid { .. })
+    ));
+    let indexed = IndexedTrace::open(rolled).unwrap();
+    let rollup = indexed.rollup().expect("the v2 rollup validates");
+    assert_eq!(rollup.summaries.len(), 3);
+
+    let mut rewritten = Vec::new();
+    binary::write_with_rollup(&base_trace(), &mut rewritten, rollup.clone()).unwrap();
+    assert_eq!(rewritten[7], 3);
+    let reopened = IndexedTrace::open(rewritten).unwrap();
+    let v3_rollup = reopened.rollup().expect("the rewritten rollup validates");
+    assert_ne!(v3_rollup.content_checksum, rollup.content_checksum);
+    let unstamped = |r: &Rollup| Rollup {
+        content_checksum: 0,
+        ..r.clone()
+    };
+    assert_eq!(unstamped(v3_rollup), unstamped(rollup));
 }

@@ -504,12 +504,19 @@ proptest! {
         assert_byte_identical(&fast, &slow);
     }
 
-    /// Garbage never panics the indexed open paths.
+    /// Garbage never panics the indexed open paths, under either hash
+    /// (v2 is sealed with FNV-1a, v3 with XXH64).
     #[test]
-    fn indexed_open_survives_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
-        let mut input = b"LGLZTRC\x02".to_vec();
+    fn indexed_open_survives_garbage(
+        bytes in proptest::collection::vec(any::<u8>(), 0..400),
+        version in 2u8..=3,
+    ) {
+        let mut input = b"LGLZTRC".to_vec();
+        input.push(version);
         input.extend_from_slice(&bytes);
         let _ = IndexedTrace::open(input.clone());
+        let _ = index::probe_health(&input);
+        let _ = index::probe_rollup(&input);
         let _ = IndexedTrace::open_salvage(input);
         let _ = index::probe_health(&bytes);
     }
