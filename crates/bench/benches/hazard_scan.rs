@@ -1,4 +1,5 @@
-//! Serial vs sharded lock-graph construction over one simulated session.
+//! Serial vs sharded lock-graph construction over one simulated session,
+//! and the standard rule engine over the same session.
 //!
 //! The hazard analyzer's hot loop is [`LockGraph::build_with_jobs`]:
 //! every episode's blocked/waiting samples are lifted into contended
@@ -7,7 +8,9 @@
 //! `available_jobs()` workers, shard graphs merged in order) on a
 //! session big enough that wait extraction dominates. The two graphs are
 //! asserted equal before timing, so the measured delta is pure
-//! scheduling.
+//! scheduling. It also times `RuleSet::standard().run` on the decoded
+//! session: the `check` path, where the hazard rules `LA020`…`LA024`
+//! share one wait extraction per episode.
 //!
 //! Results land in `BENCH_hazards.json`; `bench-verify check` validates
 //! the structure (no performance gate — merge cost makes the speedup
@@ -15,6 +18,7 @@
 
 use criterion::{criterion_group, Criterion};
 use lagalyzer_bench::benchjson;
+use lagalyzer_check::{CheckSubject, RuleSet};
 use lagalyzer_core::parallel::available_jobs;
 use lagalyzer_model::{LockGraph, SessionTrace};
 use lagalyzer_sim::{apps, runner};
@@ -50,10 +54,14 @@ fn bench_hazard_scan(c: &mut Criterion) {
     group.bench_function("lockgraph_build_sharded", |b| {
         b.iter(|| LockGraph::build_with_jobs(trace.episodes(), jobs));
     });
+    group.bench_function("rules_standard", |b| {
+        b.iter(|| RuleSet::standard().run(&CheckSubject::of_trace(&trace)));
+    });
     group.finish();
 }
 
-/// Timings for both schedules, written to `BENCH_hazards.json`.
+/// Timings for both schedules and the rule engine, written to
+/// `BENCH_hazards.json`.
 fn emit_hazards_json() {
     let budget = benchjson::budget();
     let trace = session();
@@ -71,10 +79,14 @@ fn emit_hazards_json() {
     let sharded_ns = benchjson::time_best_ns(budget, || {
         LockGraph::build_with_jobs(trace.episodes(), jobs)
     });
+    let rules_ns = benchjson::time_best_ns(budget, || {
+        RuleSet::standard().run(&CheckSubject::of_trace(&trace))
+    });
 
     eprintln!(
         "hazard scan: {episodes} episodes, {waits} waits, {locks} locks\n  \
-         serial {serial_ns:>12.0} ns, sharded {sharded_ns:>12.0} ns ({:.2}x)",
+         serial {serial_ns:>12.0} ns, sharded {sharded_ns:>12.0} ns ({:.2}x)\n  \
+         rules  {rules_ns:>12.0} ns",
         serial_ns / sharded_ns,
     );
 
@@ -86,7 +98,8 @@ fn emit_hazards_json() {
          \"build\": {{\n    \
          \"serial_ns_per_iter\": {serial_ns:.1},\n    \
          \"sharded_ns_per_iter\": {sharded_ns:.1},\n    \
-         \"speedup\": {speedup:.3}\n  }}\n}}",
+         \"speedup\": {speedup:.3}\n  }},\n  \
+         \"rules\": {{\n    \"ns_per_iter\": {rules_ns:.1}\n  }}\n}}",
         budget_ms = budget.as_millis(),
         speedup = serial_ns / sharded_ns,
     );

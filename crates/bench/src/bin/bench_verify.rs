@@ -453,9 +453,10 @@ fn check_mining(doc: &Json, out: &mut Findings) {
     }
 }
 
-/// Validates the `hazard_scan` section of the hazards artifact. No gate
-/// rides on it — shard-merge cost makes the build speedup
-/// hardware-dependent — so only structure is enforced.
+/// Validates the `hazard_scan` section of the hazards artifact: the
+/// lock-graph build pair and the rule-engine timing. No gate rides on
+/// it — shard-merge cost makes the build speedup hardware-dependent — so
+/// only structure is enforced.
 fn check_hazards(doc: &Json, out: &mut Findings) {
     let Some(section) = doc.get("hazard_scan") else {
         out.push("required section `hazard_scan` is missing".into());
@@ -475,6 +476,12 @@ fn check_hazards(doc: &Json, out: &mut Findings) {
             require_num(pair, "speedup", 0.0, &pair_path, out);
         }
         None => out.push(format!("`{path}.build` is missing")),
+    }
+    match section.get("rules") {
+        Some(rules) => {
+            require_num(rules, "ns_per_iter", 0.0, &format!("{path}.rules"), out);
+        }
+        None => out.push(format!("`{path}.rules` is missing")),
     }
 }
 
@@ -1003,7 +1010,8 @@ mod tests {
                 "corpus": "jEdit-hazards", "episodes": 1200, "budget_ms": 500,
                 "available_jobs": 4, "waits": 900, "locks": 5, "held_edges": 7,
                 "build": {"serial_ns_per_iter": 9000000.0,
-                    "sharded_ns_per_iter": 3000000.0, "speedup": 3.0}
+                    "sharded_ns_per_iter": 3000000.0, "speedup": 3.0},
+                "rules": {"ns_per_iter": 20000000.0}
             }}"#,
         );
         let checked = check_doc("BENCH_hazards.json", &doc);
@@ -1025,6 +1033,10 @@ mod tests {
             .problems
             .iter()
             .any(|p| p.contains("build` is missing")));
+        assert!(findings
+            .problems
+            .iter()
+            .any(|p| p.contains("rules` is missing")));
         assert!(findings.problems.iter().any(|p| p.contains("waits")));
     }
 

@@ -30,14 +30,15 @@
 //! All identities are sampling heuristics — see the `lockgraph` module
 //! docs and DESIGN.md for the limits — so every rule gates on sample
 //! counts carried in [`HazardConfig`]. `LA020`…`LA024` run as ordinary
-//! [`Rule`]s inside [`crate::RuleSet::standard`]; `LA025` needs more
+//! [`Rule`]s inside [`crate::RuleSet::standard`], all reading one wait
+//! extraction per episode ([`EpisodeCtx::waits`]); `LA025` needs more
 //! than one session and therefore only fires through
 //! [`HazardReport::analyze_corpus`] (its registered rule exists so the
 //! code appears in `--list-rules`, but it never fires single-session).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use lagalyzer_model::lockgraph::{extract_waits, ContendedWait, LockGraph};
+use lagalyzer_model::lockgraph::{ContendedWait, LockGraph};
 use lagalyzer_model::{EpisodeId, MethodRef, SessionTrace, SymbolTable, WaitKind};
 use lagalyzer_trace::EpisodeExtent;
 
@@ -362,7 +363,9 @@ impl Rule for LockOrderInversion {
     }
 
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, _sink: &mut Sink<'_>) {
-        self.graph.add_episode(ctx.episode);
+        for wait in ctx.waits() {
+            self.graph.add_wait(wait.clone());
+        }
     }
 
     fn finish(&mut self, subject: &CheckSubject<'_>, sink: &mut Sink<'_>) {
@@ -387,8 +390,8 @@ fn emit_per_wait(
     config: &HazardConfig,
     detect: impl Fn(&ContendedWait, &SymbolTable, &HazardConfig) -> Option<String>,
 ) {
-    for wait in extract_waits(ctx.episode) {
-        if let Some(message) = detect(&wait, ctx.trace.symbols(), config) {
+    for wait in ctx.waits() {
+        if let Some(message) = detect(wait, ctx.trace.symbols(), config) {
             sink.emit(
                 Finding::new(message)
                     .episode(ctx.episode.id())
@@ -619,9 +622,15 @@ impl HazardReport {
         for (i, trace) in traces.iter().enumerate() {
             episodes += trace.episodes().len();
             let local = trace.symbols();
-            let graph = LockGraph::build_with_jobs(trace.episodes(), jobs).remap(|m| MethodRef {
-                class: symbols.intern(local.resolve(m.class).unwrap_or("?")),
-                method: symbols.intern(local.resolve(m.method).unwrap_or("?")),
+            // Each distinct session ref is interned once, on first sight,
+            // so corpus ids come out in the same order as interning
+            // every occurrence would give them.
+            let mut corpus_refs: HashMap<MethodRef, MethodRef> = HashMap::new();
+            let graph = LockGraph::build_with_jobs(trace.episodes(), jobs).remap(|m| {
+                *corpus_refs.entry(m).or_insert_with(|| MethodRef {
+                    class: symbols.intern(local.resolve(m.class).unwrap_or("?")),
+                    method: symbols.intern(local.resolve(m.method).unwrap_or("?")),
+                })
             });
             for wait in graph.waits() {
                 for (code, message) in wait_findings(wait, symbols, config) {
@@ -652,7 +661,7 @@ impl HazardReport {
                         .collect(),
                 });
             }
-            merged.merge(graph.clone());
+            merged.merge_from(&graph);
             graphs.push(graph);
         }
         for inv in corpus_inversions(&merged, &graphs, symbols, config) {

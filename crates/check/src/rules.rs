@@ -31,7 +31,7 @@
 
 use std::collections::HashSet;
 
-use lagalyzer_model::{Interval, IntervalKind, MethodRef, SymbolTable, TimeNs};
+use lagalyzer_model::{GcEvent, Interval, IntervalKind, MethodRef, SymbolTable, TimeNs};
 use lagalyzer_trace::{IndexHealth, RollupHealth, SkipAt};
 
 use crate::diag::{ByteSpan, Severity};
@@ -44,7 +44,7 @@ pub fn standard_rules() -> Vec<Box<dyn Rule>> {
         Box::new(OverlappingSiblings),
         Box::new(IntervalOutOfBounds),
         Box::new(NonMonotonicTime),
-        Box::new(SampleDuringGc),
+        Box::new(SampleDuringGc::default()),
         Box::new(DanglingSymbol),
         Box::new(SubFloorEpisode),
         Box::new(MissingDispatchRoot),
@@ -262,7 +262,40 @@ impl Rule for NonMonotonicTime {
 
 /// LA005: the sampler pauses during stop-the-world GC, so no sample may
 /// fall inside a GC interval or a session-level GC event.
-struct SampleDuringGc;
+#[derive(Default)]
+struct SampleDuringGc {
+    /// `reach[i]` is the latest `end` among the session GC events
+    /// `0..=i` — a prefix maximum, so non-decreasing.
+    reach: Vec<TimeNs>,
+}
+
+impl SampleDuringGc {
+    /// Indexes `events` for [`SampleDuringGc::covering`].
+    fn index(&mut self, events: &[GcEvent]) {
+        self.reach.clear();
+        let mut latest = TimeNs::ZERO;
+        for gc in events {
+            latest = latest.max(gc.end);
+            self.reach.push(latest);
+        }
+    }
+
+    /// The first of `events` (the list last passed to
+    /// [`SampleDuringGc::index`]) with `start <= t < end` — the event a
+    /// linear `find` in list order returns — by binary search.
+    ///
+    /// Relies on `events` being sorted by `start`, which
+    /// `SessionTraceBuilder::finish`, the only way to build a
+    /// `SessionTrace`, guarantees. Every event before the first index
+    /// whose `reach` exceeds `t` ends at or before `t`; the event at
+    /// that index ends after `t`; and if it starts after `t`, so does
+    /// every later one. Overlapping, nested and zero-length events need
+    /// no special case.
+    fn covering<'e>(&self, events: &'e [GcEvent], t: TimeNs) -> Option<&'e GcEvent> {
+        let first = self.reach.partition_point(|&end| end <= t);
+        events.get(first).filter(|gc| gc.start <= t && t < gc.end)
+    }
+}
 
 impl Rule for SampleDuringGc {
     fn code(&self) -> &'static str {
@@ -278,6 +311,10 @@ impl Rule for SampleDuringGc {
         "sample taken inside a stop-the-world GC pause (sampling should be suppressed)"
     }
 
+    fn begin(&mut self, subject: &CheckSubject<'_>, _sink: &mut Sink<'_>) {
+        self.index(subject.trace.gc_events());
+    }
+
     fn episode(&mut self, ctx: &EpisodeCtx<'_>, sink: &mut Sink<'_>) {
         let tree = ctx.episode.tree();
         let gc_windows: Vec<&Interval> = tree
@@ -288,11 +325,7 @@ impl Rule for SampleDuringGc {
             .collect();
         for sample in ctx.episode.samples() {
             let in_tree = gc_windows.iter().find(|gc| gc.contains(sample.time));
-            let in_session = ctx
-                .trace
-                .gc_events()
-                .iter()
-                .find(|gc| gc.start <= sample.time && sample.time < gc.end);
+            let in_session = self.covering(ctx.trace.gc_events(), sample.time);
             let window = in_tree
                 .map(|gc| (gc.start, gc.end))
                 .or(in_session.map(|gc| (gc.start, gc.end)));
@@ -723,6 +756,7 @@ mod tests {
     use lagalyzer_model::prelude::*;
     use lagalyzer_model::tree::IntervalNode;
     use lagalyzer_trace::{EpisodeExtent, SalvageReport, SalvageSkip};
+    use proptest::prelude::*;
 
     fn ms(v: u64) -> TimeNs {
         TimeNs::from_millis(v)
@@ -949,6 +983,82 @@ mod tests {
     fn la005_sample_outside_gc_is_silent() {
         let trace = trace_of(vec![episode_with_gc_and_sample(70)]);
         assert!(!codes(&trace).contains(&"LA005"));
+    }
+
+    #[test]
+    fn la005_names_the_outer_of_nested_session_gc_events() {
+        let episode = EpisodeBuilder::new(EpisodeId::from_raw(0), ThreadId::from_raw(0))
+            .tree({
+                let mut t = IntervalTreeBuilder::new();
+                t.enter(IntervalKind::Dispatch, None, ms(0)).unwrap();
+                t.exit(ms(100)).unwrap();
+                t.finish().unwrap()
+            })
+            .sample(snap(ms(45)))
+            .build()
+            .unwrap();
+        let mut b = SessionTraceBuilder::new(meta(), SymbolTable::new());
+        b.push_episode(episode).unwrap();
+        for (start, end) in [(40, 50), (10, 90)] {
+            b.push_gc(GcEvent {
+                start: ms(start),
+                end: ms(end),
+                major: false,
+            });
+        }
+        let report = RuleSet::standard().run(&CheckSubject::of_trace(&b.finish()));
+        let messages: Vec<&str> = report
+            .diagnostics()
+            .iter()
+            .filter(|d| d.code == "LA005")
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            messages,
+            ["sample at 45.000ms falls inside a stop-the-world GC pause [10.000ms..90.000ms]"]
+        );
+    }
+
+    /// GC event lists as `(start, length)` pairs in nanoseconds, over a
+    /// span small enough that overlapping, nested, touching and
+    /// zero-length events are common.
+    fn gc_spans() -> impl Strategy<Value = Vec<(u64, u64)>> {
+        proptest::collection::vec((0u64..40, 0u64..16), 0..10)
+    }
+
+    proptest! {
+        #[test]
+        fn la005_indexed_lookup_matches_linear_find(
+            spans in gc_spans(),
+            extra in proptest::collection::vec(0u64..64, 0..8),
+        ) {
+            let mut b = SessionTraceBuilder::new(meta(), SymbolTable::new());
+            for &(start, len) in &spans {
+                b.push_gc(GcEvent {
+                    start: TimeNs::from_nanos(start),
+                    end: TimeNs::from_nanos(start + len),
+                    major: false,
+                });
+            }
+            let trace = b.finish();
+            let events = trace.gc_events();
+            let mut rule = SampleDuringGc::default();
+            rule.index(events);
+
+            let mut probes = extra;
+            for gc in events {
+                let (start, end) = (gc.start.as_nanos(), gc.end.as_nanos());
+                probes.extend([start, end.saturating_sub(1), end, start + (end - start) / 2]);
+            }
+            for t in probes.into_iter().map(TimeNs::from_nanos) {
+                let linear = events.iter().find(|gc| gc.start <= t && t < gc.end);
+                let indexed = rule.covering(events, t);
+                prop_assert!(
+                    indexed.map(|gc| gc as *const GcEvent) == linear.map(|gc| gc as *const GcEvent),
+                    "sample at {t:?} over {events:?}: indexed {indexed:?}, linear {linear:?}"
+                );
+            }
+        }
     }
 
     #[test]

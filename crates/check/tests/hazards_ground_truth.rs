@@ -8,9 +8,12 @@
 
 use lagalyzer_check::hazards::{HazardConfig, HazardReport};
 use lagalyzer_check::{CheckSubject, Diagnostic, RuleSet};
-use lagalyzer_sim::scenarios::{abba_inversion, hazard_control, hazard_truths, held_lock_io};
+use lagalyzer_model::{EpisodeId, SessionTrace};
+use lagalyzer_sim::scenarios::{
+    abba_inversion, hazard_control, hazard_truths, held_lock_io, lock_contention,
+};
 
-fn analyze(trace: &lagalyzer_model::SessionTrace) -> HazardReport {
+fn analyze(trace: &SessionTrace) -> HazardReport {
     HazardReport::analyze(trace, None, 1, &HazardConfig::default())
 }
 
@@ -205,4 +208,41 @@ fn binary_round_trip_keeps_findings_and_adds_spans() {
         "extent index provides byte-span provenance"
     );
     assert_eq!(la020.episode_id, Some(truth.injected[0]));
+}
+
+/// `(code, message, episode)` of every `LA020`…`LA024` diagnostic, sorted.
+fn hazard_keys<'d>(
+    diagnostics: impl IntoIterator<Item = &'d Diagnostic>,
+) -> Vec<(&'static str, String, Option<EpisodeId>)> {
+    let mut keys: Vec<_> = diagnostics
+        .into_iter()
+        .filter(|d| ("LA020"..="LA024").contains(&d.code))
+        .map(|d| (d.code, d.message.clone(), d.episode_id))
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// The rule engine and `HazardReport` reach the same hazard findings
+/// from their own wait extraction (once per episode in the engine, once
+/// per episode in the sharded graph build).
+#[test]
+fn rule_engine_matches_hazard_report() {
+    let traces: Vec<(&str, SessionTrace)> = hazard_truths()
+        .into_iter()
+        .map(|truth| (truth.title, truth.trace))
+        .chain([("lock-contention", lock_contention().trace)])
+        .collect();
+    let mut seen = 0;
+    for (title, trace) in &traces {
+        let check = RuleSet::standard().run(&CheckSubject::of_trace(trace));
+        let engine = hazard_keys(check.diagnostics());
+        let report = hazard_keys(&analyze(trace).findings);
+        assert_eq!(
+            engine, report,
+            "{title}: rule engine and hazard report disagree"
+        );
+        seen += engine.len();
+    }
+    assert!(seen > 0, "the scenarios produce hazard findings to compare");
 }

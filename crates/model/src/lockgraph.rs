@@ -214,26 +214,39 @@ impl LockGraph {
     /// Merges `other` into `self` (waits are appended in `other`'s
     /// order, so shard-ordered merges preserve episode order).
     pub fn merge(&mut self, other: LockGraph) {
-        for (lock, stats) in other.nodes {
+        self.merge_evidence(&other);
+        self.waits.extend(other.waits);
+    }
+
+    /// [`LockGraph::merge`] from a borrowed graph: copies only `other`'s
+    /// waits, for callers that keep `other` (the corpus merge path).
+    pub fn merge_from(&mut self, other: &LockGraph) {
+        self.merge_evidence(other);
+        self.waits.extend_from_slice(&other.waits);
+    }
+
+    /// Adds `other`'s node and edge evidence to `self`.
+    fn merge_evidence(&mut self, other: &LockGraph) {
+        for (&lock, stats) in &other.nodes {
             let node = self.nodes.entry(lock).or_default();
             node.monitor_samples += stats.monitor_samples;
             node.condition_samples += stats.condition_samples;
             merge_sorted(&mut node.waiters, &stats.waiters);
             merge_sorted(&mut node.episodes, &stats.episodes);
         }
-        for (key, stats) in other.held_edges {
+        for (&key, stats) in &other.held_edges {
             let edge = self.held_edges.entry(key).or_default();
             edge.samples += stats.samples;
             merge_sorted(&mut edge.threads, &stats.threads);
             merge_sorted(&mut edge.episodes, &stats.episodes);
         }
-        self.waits.extend(other.waits);
     }
 
     /// A copy of the graph with every lock identity rewritten through
     /// `f` — the corpus merge path, where per-session [`MethodRef`]s are
     /// re-interned into the corpus-wide symbol table before per-session
-    /// graphs are [`LockGraph::merge`]d.
+    /// graphs are [`LockGraph::merge_from`]d. `f` runs once per lock
+    /// reference, in wait order: lock, held frame, holder frame.
     pub fn remap(&self, mut f: impl FnMut(MethodRef) -> MethodRef) -> LockGraph {
         let mut out = LockGraph::new();
         for wait in &self.waits {
@@ -434,6 +447,9 @@ pub fn extract_waits(episode: &Episode) -> Vec<ContendedWait> {
                 }
             }
         }
+    }
+    if tallies.is_empty() {
+        return Vec::new();
     }
     tallies.sort_by(|a, b| a.thread.cmp(&b.thread).then(a.kind.cmp(&b.kind)));
 
